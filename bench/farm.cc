@@ -42,11 +42,26 @@ workerIdentity()
            std::to_string(static_cast<long>(::getpid()));
 }
 
+/** Generation @p gen of job @p index's claim: job-N.claim, .1, .2... */
 std::string
-claimPathFor(const std::string &dir, size_t index)
+claimPathFor(const std::string &dir, size_t index, unsigned gen)
 {
-    return farmClaimsDir(dir) + "/job-" + std::to_string(index) +
-           ".claim";
+    std::string p = farmClaimsDir(dir) + "/job-" + std::to_string(index) +
+                    ".claim";
+    return gen == 0 ? p : p + "." + std::to_string(gen);
+}
+
+/** Release a claim owned at generation @p gen (the whole chain). */
+void
+farmReleaseClaim(const std::string &dir, const FarmJob &job,
+                 unsigned gen)
+{
+    // Oldest first, so a generation's disappearance implies every
+    // newer one is going too: a thief that stole the next generation
+    // of a vanished one backs out (farmClaimJob) instead of reporting
+    // a finished job's owner lost.
+    for (unsigned g = 0; g <= gen; ++g)
+        common::removeFile(claimPathFor(dir, job.index, g));
 }
 
 /**
@@ -337,28 +352,48 @@ readFarmManifest(const std::string &dir, std::vector<FarmJob> &jobs)
 
 bool
 farmClaimJob(const std::string &dir, const FarmJob &job,
-             const std::string &identity, int64_t ttlMs)
+             const std::string &identity, int64_t ttlMs, unsigned *gen)
 {
-    std::string path = claimPathFor(dir, job.index);
     std::string contents =
         identity + " " + std::to_string(common::wallTimeMs()) +
         " job=" + std::to_string(job.index) + "\n";
-    if (common::createExclusive(path, contents))
+    auto take = [&](unsigned g) {
+        if (!common::createExclusive(claimPathFor(dir, job.index, g),
+                                     contents))
+            return false;
+        if (gen)
+            *gen = g;
+        return true;
+    };
+    if (take(0))
         return true;
 
+    // The live claim is the newest of the contiguous generations; no
+    // claim file is renamed or removed while its job is in flight.
+    unsigned g = 0;
+    std::string path = claimPathFor(dir, job.index, 0);
     int64_t age = common::fileAgeMs(path);
     if (age < 0) // owner just released it; take it fresh
-        return common::createExclusive(path, contents);
+        return take(0);
+    for (;;) {
+        std::string next = claimPathFor(dir, job.index, g + 1);
+        int64_t nextAge = common::fileAgeMs(next);
+        if (nextAge < 0)
+            break;
+        ++g;
+        path = std::move(next);
+        age = nextAge;
+    }
 
     bool stale = age > ttlMs;
     std::string why = fault::format(
         "heartbeat age %lldms > ttl %lldms",
         static_cast<long long>(age), static_cast<long long>(ttlMs));
+    const std::string prev = common::readFile(path);
     if (!stale) {
         // Same-host fast path: a dead owner pid makes the claim stale
         // immediately. Advisory only (pids recycle) — it can only
         // accelerate staleness; the age test above stays the backstop.
-        std::string prev = common::readFile(path);
         size_t dash = prev.rfind('-', prev.find(' '));
         if (dash != std::string::npos &&
             prev.compare(0, dash, common::hostName()) == 0) {
@@ -372,16 +407,20 @@ farmClaimJob(const std::string &dir, const FarmJob &job,
     if (!stale)
         return false;
 
-    // Atomic steal: rename wins for exactly one of N racing thieves.
-    std::string stolen = path + ".stale-" + identity;
-    if (!common::renameFile(path, stolen))
-        return false; // someone else stole (or the owner released) it
-    std::string prev = common::readFile(stolen);
-    common::removeFile(stolen);
+    // Atomic steal: the O_EXCL create of generation g+1 wins for
+    // exactly one of N racing thieves. A thief that judged generation
+    // g stale too late finds g+1 taken; it can never remove or replace
+    // the winner's fresh claim.
+    if (!take(g + 1))
+        return false;
+    if (common::fileAgeMs(path) < 0) {
+        // Generation g vanished: its owner released the job (it is
+        // done) while we stole it. Back out without a report.
+        common::removeFile(claimPathFor(dir, job.index, g + 1));
+        return false;
+    }
     logWorkerLost(dir, job, prev, why, identity);
-    // A fresh claimant may slip in between the rename and this
-    // create; O_EXCL arbitrates.
-    return common::createExclusive(path, contents);
+    return true;
 }
 
 std::map<size_t, RunResult>
@@ -449,14 +488,15 @@ farmWorker(const FarmOptions &opt)
             const FarmJob &job = jobs[(origin + k) % jobs.size()];
             if (done.count(job.index))
                 continue;
-            if (!farmClaimJob(opt.dir, job, identity, opt.claimTtlMs))
+            unsigned gen = 0;
+            if (!farmClaimJob(opt.dir, job, identity, opt.claimTtlMs,
+                              &gen))
                 continue;
-            std::string claim = claimPathFor(opt.dir, job.index);
             // The previous owner may have appended the result and
             // died before releasing the claim — don't run it twice.
             done = doneIndices(opt.dir);
             if (done.count(job.index)) {
-                common::removeFile(claim);
+                farmReleaseClaim(opt.dir, job, gen);
                 continue;
             }
             ++claims;
@@ -468,13 +508,13 @@ farmWorker(const FarmOptions &opt)
                      job.index);
                 ::raise(SIGKILL);
             }
-            hb.watch(claim);
+            hb.watch(claimPathFor(opt.dir, job.index, gen));
             RunResult r = runOne(job.spec);
             hb.watch("");
             // Result before release: a released claim with no result
             // means "owner died", so the order must never invert.
             appendResultLine(resultsPath, job, r);
-            common::removeFile(claim);
+            farmReleaseClaim(opt.dir, job, gen);
             done.insert(job.index);
             ++ran;
             progressed = true;

@@ -13,8 +13,9 @@
  * Coordination is a directory, nothing else (DESIGN.md §14):
  *
  *   <dir>/jobs.manifest       every job of the sweep (atomic publish)
- *   <dir>/claims/job-N.claim  O_EXCL claim = exactly one owner;
- *                             mtime = owner heartbeat
+ *   <dir>/claims/job-N.claim[.G]
+ *                             O_EXCL claim generations; the newest
+ *                             names the owner, its mtime = heartbeat
  *   <dir>/results/worker-*.results
  *                             one append-only file per worker process
  *   <dir>/failures.log        rendered worker-lost FailureReports
@@ -24,8 +25,10 @@
  *    flushed BEFORE the claim is released, so a released claim with
  *    no result implies the owner died and the job must re-run;
  *  - a claim whose heartbeat is older than the TTL (or whose owner
- *    pid is dead on this host) is stale; the stale->stolen transition
- *    is a rename(2), so exactly one of N racing stealers wins;
+ *    pid is dead on this host) is stale; stealing generation G is an
+ *    O_EXCL create of generation G+1, so exactly one of N racing
+ *    stealers wins and a late stealer can never displace the fresh
+ *    claim of an earlier one;
  *  - results are keyed by job index and deduplicated at merge, so a
  *    job that ran twice (steal of a slow-but-alive owner after a
  *    heartbeat stall) is harmless: the simulator is deterministic and
@@ -100,14 +103,17 @@ bool readFarmManifest(const std::string &dir,
                       std::vector<FarmJob> &jobs);
 
 /**
- * Try to take ownership of @p job's claim file as @p identity
- * ("<host>-<pid>"). Steals stale claims (heartbeat older than
- * @p ttlMs, or owner pid dead on this host), appending a rendered
- * worker-lost FailureReport to failures.log for each steal.
+ * Try to take ownership of @p job's claim as @p identity
+ * ("<host>-<pid>"). Steals a stale claim (heartbeat older than
+ * @p ttlMs, or owner pid dead on this host) by creating the next
+ * claim generation, appending a rendered worker-lost FailureReport to
+ * failures.log for each steal. On success the owned generation is
+ * stored in @p gen (heartbeat and release it).
  * @return true iff the claim is now ours.
  */
 bool farmClaimJob(const std::string &dir, const FarmJob &job,
-                  const std::string &identity, int64_t ttlMs);
+                  const std::string &identity, int64_t ttlMs,
+                  unsigned *gen = nullptr);
 
 /** Parse every results file; job index -> result. Torn trailing
  *  lines (a worker killed mid-append) are skipped. */

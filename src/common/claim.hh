@@ -7,11 +7,12 @@
  * reduces to a handful of POSIX idioms collected here:
  *
  *  - createExclusive(): O_CREAT|O_EXCL claim files — the atomic
- *    "exactly one winner" primitive behind work-stealing job claims;
+ *    "exactly one winner" primitive behind work-stealing job claims
+ *    and behind steals (the O_EXCL create of a claim's next
+ *    generation);
  *  - touchFile()/fileAgeMs(): heartbeats as mtime updates, staleness
  *    as mtime age — no file rewrites, no content races;
- *  - renameFile(): rename(2) as the atomic steal of a stale claim
- *    (exactly one of N racing stealers wins; the rest get ENOENT);
+ *  - renameFile(): rename(2), the publish step of atomicWriteFile();
  *  - appendLine(): a single O_APPEND write(2) per record, so
  *    concurrent writers interleave whole lines and a killed writer
  *    leaves at most one torn trailing line;

@@ -140,11 +140,13 @@ Core::uliSendReqAndWait(CoreId victim, uint64_t payload)
     sys.uliNet().sendReq(_id, victim, payload, time);
     chargeRaw(1, TimeCat::Sync);
     ++instCounter;
-    // Spin until the response lands. Servicing our own incoming ULIs
-    // (via syncPoint -> pollUli) avoids thief/thief deadlock.
+    // Poll every 2 cycles until the response lands. Servicing our own
+    // incoming ULIs (pollUli at each poll) avoids thief/thief
+    // deadlock; uliWaitStep skips the polls that would see nothing.
     while (!uliUnit.respReady) {
+        ++waitSteps;
         chargeRaw(2, TimeCat::Sync);
-        syncPoint();
+        sys.uliWaitStep(*this);
     }
     uliUnit.respReady = false;
     return {uliUnit.respAck, uliUnit.respPayload};

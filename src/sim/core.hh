@@ -112,6 +112,8 @@ class Core
     /**
      * Send a ULI request and spin (servicing our own incoming ULIs,
      * which prevents thief-thief deadlock) until the response arrives.
+     * Polls that provably observe nothing are skipped by parking the
+     * core in the scheduler (System::uliWaitStep, DESIGN.md §12.1).
      */
     UliResp uliSendReqAndWait(CoreId victim, uint64_t payload = 0);
 
@@ -149,6 +151,12 @@ class Core
     /** Set by System when the guest function has finished. */
     bool done = false;
 
+    /**
+     * Host-side: ULI-wait steps taken so far, each at most one
+     * scheduler round trip. Not part of any statistics output.
+     */
+    uint64_t uliWaitSteps() const { return waitSteps; }
+
   private:
     friend class System;
 
@@ -173,6 +181,15 @@ class Core
 
     /** Injected stall (sim-stall-core), consumed at the next syncPoint. */
     Cycle pendingStall = 0;
+
+    // Cold state last: the fields above keep the hot-path layout.
+    uint64_t waitSteps = 0; //!< see uliWaitSteps()
+
+    /**
+     * Parked in a ULI wait: queued at a deadline beyond its next poll
+     * while `time` stays at that poll (System::uliWaitStep).
+     */
+    bool parked = false;
 };
 
 } // namespace bigtiny::sim

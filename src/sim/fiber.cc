@@ -101,7 +101,7 @@ Fiber::main()
 void
 Fiber::createStack()
 {
-    stack = std::make_unique<uint8_t[]>(stackBytes);
+    stack = std::make_unique_for_overwrite<uint8_t[]>(stackBytes);
 #ifdef BIGTINY_ASAN_FIBERS
     asanBottom = stack.get();
     asanSize = stackBytes;
@@ -160,7 +160,7 @@ Fiber::run()
 void
 Fiber::createStack()
 {
-    stack = std::make_unique<uint8_t[]>(stackBytes);
+    stack = std::make_unique_for_overwrite<uint8_t[]>(stackBytes);
 #ifdef BIGTINY_ASAN_FIBERS
     asanBottom = stack.get();
     asanSize = stackBytes;

@@ -13,9 +13,10 @@
  * ReadyQueue exploits two properties of the scheduling discipline:
  *
  *  1. The popped minimum time never decreases (the minimum-time core
- *     runs, advances, and re-queues at a later time; nobody else's
- *     time changes while suspended). So a cursor at the last popped
- *     time is a lower bound for every queued core.
+ *     runs, advances, and re-queues at a later time; a suspended
+ *     core is only re-keyed when an event wakes it from a parked ULI
+ *     wait, and never below the last pop). So a cursor at the last
+ *     popped time is a lower bound for every queued core.
  *  2. Queued core times cluster within a few hundred cycles of the
  *     cursor (one work quantum or one memory-transaction latency).
  *
@@ -118,6 +119,40 @@ class ReadyQueue
         }
         return {t, id};
     }
+
+    /**
+     * Move queued core @p id to the earlier key @p t, not below the
+     * last pop (an event woke a parked core). The minimum can only
+     * drop, so no rescan.
+     */
+    void
+    decreaseKey(CoreId id, Cycle t)
+    {
+        const Cycle old = keys[static_cast<size_t>(id)];
+        panic_if(t > old || t < cursor,
+                 "ReadyQueue: bad decreaseKey of core %d", id);
+        if (old - cursor < wheelSize) {
+            const size_t b = old & (wheelSize - 1);
+            masks[b * idWords + (static_cast<size_t>(id) >> 6)] &=
+                ~(uint64_t{1} << (id & 63));
+            if (bucketEmpty(b))
+                bitmap[b >> 6] &= ~(uint64_t{1} << (b & 63));
+        } else {
+            removeOverflow(id);
+        }
+        --count;
+        insert(id, t);
+    }
+
+    /** Key of the minimum entry; maxCycle when empty. O(1). */
+    Cycle minTime() const { return cachedTime; }
+
+    /** Key of queued core @p id (meaningful only while queued). */
+    Cycle keyOf(CoreId id) const { return keys[static_cast<size_t>(id)]; }
+
+    /** Keys from the last pop up to (excluding) this sit on the wheel;
+     *  later ones go to the overflow list. */
+    Cycle horizon() const { return cursor + wheelSize; }
 
     /**
      * True when some queued core orders before (@p t, @p id) — the

@@ -68,12 +68,14 @@ System::attachGuest(CoreId c, std::function<void(Core &)> guest)
                         std::make_unique<fault::SimFailure>(f);
                 aborting = true;
             } catch (const std::exception &e) {
-                if (!pendingFailure)
+                if (!pendingFailure) {
+                    settleAllParked();
                     pendingFailure = std::make_unique<fault::SimFailure>(
                         buildFailureReport(
                             fault::Verdict::GuestError, core->now(),
                             fault::format("guest on core %d threw: %s",
                                           core->id(), e.what())));
+                }
                 aborting = true;
             }
             // Finish bookkeeping happens here (not in schedulerLoop):
@@ -115,6 +117,7 @@ System::run(Cycle max_cycles)
         Core *target = cores[r.args[0]].get();
         Cycle stall = r.args[2];
         eventQueue.schedule(r.args[1], [this, target, stall] {
+            wakeParked(*target);
             target->pendingStall += stall;
             faultInjector->record(fault::FaultSite::SimStallCore,
                                   target->id(), target->time, stall);
@@ -166,24 +169,37 @@ System::run(Cycle max_cycles)
 Fiber *
 System::pickNext()
 {
+    // Hardware events at or before the minimum core's time fire first,
+    // one cycle at a time: an event may wake a parked core to a key
+    // below the current minimum, and that core then runs first.
+    for (;;) {
+        const Cycle t = ready.minTime();
+        if (t > watchdog) [[unlikely]]
+            raiseFailure(fault::Verdict::CycleBudget,
+                         fault::format("simulation exceeded %llu cycles",
+                                       (unsigned long long)watchdog));
+        // Interval sampling hooks the deterministic min-time candidate:
+        // the global order of boundary crossings is identical for
+        // every host and --jobs count.
+        if (intervalSampler && t >= intervalSampler->nextDue())
+            [[unlikely]]
+            intervalSampler->sampleUpTo(*this, t);
+        const Cycle e = eventQueue.nextTime();
+        if (e > t) [[likely]]
+            break;
+        slotTime = e;
+        eventQueue.runDue(e);
+    }
     // ReadyQueue entries are valid by construction — the popped
-    // (time, id) is always the minimum over live suspended cores,
-    // exactly the old structure's first non-stale pop.
+    // (time, id) is always the minimum over live suspended cores.
     auto [t, id] = ready.popMin();
     Core &c = *cores[id];
-    if (t > watchdog) [[unlikely]]
-        raiseFailure(fault::Verdict::CycleBudget,
-                     fault::format("simulation exceeded %llu cycles",
-                                   (unsigned long long)watchdog));
-    // Interval sampling hooks the deterministic min-time pop: the
-    // global order of boundary crossings is identical for every
-    // host and --jobs count.
-    if (intervalSampler && t >= intervalSampler->nextDue()) [[unlikely]]
-        intervalSampler->sampleUpTo(*this, t);
-    // Hardware events at or before this core's time fire first.
-    eventQueue.runDue(t);
-    if (t != c.time) [[unlikely]]
-        panic("event changed a core's local time");
+    if (t != c.time) [[unlikely]] {
+        // Only a parked core is queued ahead of its own time.
+        panic_if(!c.parked, "event changed a core's local time");
+        c.chargeRaw(t - c.time, TimeCat::Sync);
+    }
+    slotTime = t;
     runningCore = &c;
     c.running = true;
     return fibers[id].get();
@@ -209,6 +225,23 @@ System::schedulerLoop()
 }
 
 void
+System::yieldAt(Core &c, Cycle key)
+{
+    // Hand off straight to the next scheduled core's fiber (one
+    // context switch, no scheduler-fiber round trip). The
+    // model-visible sequence — queue ourselves, pop the global
+    // minimum, fire its due events, resume it — is exactly the
+    // scheduler's.
+    ready.insert(c.id(), key);
+    c.running = false;
+    runningCore = nullptr;
+    Fiber *next = pickNext();
+    if (next != fibers[c.id()].get())
+        next->run(); // resumed when we are the minimum again
+    // else: only an event was due; pickNext ran it and re-picked us.
+}
+
+void
 System::syncPoint(Core &c)
 {
     if (aborting)
@@ -216,33 +249,77 @@ System::syncPoint(Core &c)
     // Guest-side watchdog: a lone spinning core never yields to the
     // scheduler, so the hang checks must live here as well.
     watchdogCheck(c);
-    Fiber *self = nullptr;
     for (;;) {
         bool earlier_event = eventQueue.nextTime() <= c.time;
         bool earlier_core = ready.hasEarlierThan(c.time, c.id());
         if (!earlier_event && !earlier_core)
             break;
-        // Yield: hand off straight to the next scheduled core's fiber
-        // (one context switch, no scheduler-fiber round trip). The
-        // model-visible sequence — queue ourselves, pop the global
-        // minimum, fire its due events, resume it — is exactly the
-        // scheduler's.
-        ready.insert(c.id(), c.time);
-        c.running = false;
-        runningCore = nullptr;
-        Fiber *next = pickNext();
-        if (!self)
-            self = fibers[c.id()].get();
-        if (next != self)
-            next->run(); // resumed when we are the minimum again
-        // else: only an event was due; pickNext ran it and re-picked
-        // this core, so just re-evaluate.
+        yieldAt(c, c.time);
         if (aborting)
             throw fault::FiberUnwind{};
     }
+    slotTime = c.time;
     if (c.pendingStall > 0)
         applyStall(c);
     c.pollUli();
+}
+
+void
+System::uliWaitStep(Core &c)
+{
+    // Polls before `limit` only re-check an unchanged response buffer:
+    // no watchdog check or sample is due there, and the key stays on
+    // the ready wheel. Park at the last of them; the ordinary step
+    // from there reaches the first poll that must run in full.
+    Cycle limit = std::min(nextAnyCheck, ready.horizon());
+    if (intervalSampler)
+        limit = std::min(limit, intervalSampler->nextDue());
+    if (limit <= c.time + 2) {
+        syncPoint(c);
+        return;
+    }
+    if (aborting)
+        throw fault::FiberUnwind{};
+    c.parked = true;
+    yieldAt(c, c.time + ((limit - c.time - 1) & ~Cycle{1}));
+    c.parked = false;
+    // Resumed at the deadline or an earlier wake; pickNext settled our
+    // time to that poll, which now runs in full.
+    syncPoint(c);
+}
+
+void
+System::wakeParkedSlow(Core &c)
+{
+    // slotTime is the cycle of the event being fired: the wait would
+    // first see it at the first poll at or after that cycle, which is
+    // never past the parked key (the key was the queue's minimum or
+    // later when the event came due).
+    settleParked(c, slotTime, -1);
+    if (c.time != ready.keyOf(c.id()))
+        ready.decreaseKey(c.id(), c.time);
+}
+
+void
+System::settleParked(Core &c, Cycle t, CoreId id)
+{
+    // First poll p = time + 2k with (p, c) after (t, id).
+    const Cycle at = c.id() > id ? t : t + 1;
+    Cycle p = at <= c.time ? c.time
+                           : c.time + ((at - c.time + 1) & ~Cycle{1});
+    p = std::min(p, ready.keyOf(c.id()));
+    c.chargeRaw(p - c.time, TimeCat::Sync);
+}
+
+void
+System::settleAllParked()
+{
+    // With a core running, the slot is its last syncPoint; otherwise
+    // an event cycle, which orders before every core at that cycle.
+    const CoreId id = runningCore ? runningCore->id() : -1;
+    for (const auto &c : cores)
+        if (c->parked)
+            settleParked(*c, slotTime, id);
 }
 
 uint64_t
@@ -336,10 +413,14 @@ System::applyStall(Core &c)
 void
 System::raiseFailure(fault::Verdict v, std::string reason)
 {
-    Cycle now = runningCore ? runningCore->now() : elapsed();
-    if (!pendingFailure)
+    if (!pendingFailure) {
+        // Report parked cores at the poll the polling loop would have
+        // reached by now.
+        settleAllParked();
+        Cycle now = runningCore ? runningCore->now() : elapsed();
         pendingFailure = std::make_unique<fault::SimFailure>(
             buildFailureReport(v, now, std::move(reason)));
+    }
     if (insideRun) {
         aborting = true;
         throw fault::FiberUnwind{};

@@ -124,6 +124,19 @@ class System
                        std::vector<uint64_t> &)>
         stealSampleHook;
 
+    /**
+     * Called by an event handler that changed state a ULI wait on
+     * @p c observes (its response or request buffer, a pending stall).
+     * A parked @p c moves to the first poll at or after the event's
+     * cycle — where the polling loop would first have seen the change.
+     */
+    void
+    wakeParked(Core &c)
+    {
+        if (c.parked) [[unlikely]]
+            wakeParkedSlow(c);
+    }
+
   private:
     friend class Core;
 
@@ -135,10 +148,36 @@ class System
      */
     void syncPoint(Core &c);
 
+    /** Queue @p c at @p key and run others until it is popped. */
+    void yieldAt(Core &c, Cycle key);
+
     /**
-     * Pop the minimum-time core, run its due events, check the cycle
-     * budget / sampler, and return its fiber marked running. The one
-     * scheduling decision, shared by schedulerLoop and syncPoint.
+     * One step of a ULI wait (Core::uliSendReqAndWait), entered at the
+     * next poll with its 2 cycles charged. Equivalent to syncPoint(c)
+     * followed by every further poll up to the deadline that cannot
+     * see a change: the core parks at that deadline instead, and an
+     * event that could change what it observes wakes it earlier.
+     */
+    void uliWaitStep(Core &c);
+
+    void wakeParkedSlow(Core &c);
+
+    /**
+     * Advance parked @p c to the first poll of its grid (time + 2k)
+     * ordered after (@p t, @p id), never past its ready-queue key.
+     * Skipped polls are charged to TimeCat::Sync in one step.
+     */
+    void settleParked(Core &c, Cycle t, CoreId id);
+
+    /** Settle every parked core to the current slot (failure path). */
+    void settleAllParked();
+
+    /**
+     * Fire due events one cycle at a time, then pop the minimum-time
+     * core and return its fiber marked running; the cycle budget and
+     * the sampler see each candidate minimum before its events. The
+     * one scheduling decision, shared by schedulerLoop, syncPoint and
+     * uliWaitStep.
      */
     Fiber *pickNext();
 
@@ -190,14 +229,23 @@ class System
     /**
      * Live, suspended cores keyed (time, id); at most one entry per
      * core and keys always current (a core's time only advances while
-     * it runs, and a running core is never queued), so every pop is
-     * valid — no stale entries to skip.
+     * it runs, and a running core is never queued) — except a parked
+     * ULI waiter, keyed at its wake-up poll and settled to it when
+     * popped. Every pop is valid — no stale entries to skip.
      */
     ReadyQueue ready;
     int liveGuests = 0;
     Cycle watchdog = ~static_cast<Cycle>(0);
     Fiber *schedFiber = nullptr;
     Core *runningCore = nullptr;
+
+    /**
+     * Latest point passed in the global (time, core) order: the
+     * running core's last syncPoint, or — with no core running — the
+     * event cycle being fired (events order before every core at their
+     * cycle). Parked cores settle relative to it.
+     */
+    Cycle slotTime = 0;
 
     std::unique_ptr<fault::Injector> faultInjector;
     std::unique_ptr<trace::Tracer> eventTracer;

@@ -91,6 +91,7 @@ UliNetwork::sendReq(CoreId sender, CoreId victim, uint64_t payload,
         v.uliUnit.reqPending = true;
         v.uliUnit.reqSender = sender;
         v.uliUnit.reqPayload = payload;
+        sys.wakeParked(v); // a waiting victim serves it at its next poll
     };
     for (int i = 0; i < copies; ++i)
         sys.events().schedule(arrival, deliver);
@@ -140,6 +141,7 @@ UliNetwork::sendResp(CoreId sender, CoreId thief, bool ack,
                                   ack ? 1 : 0, "payload", payload);
         }
         sim::Core &t = sys.core(thief);
+        sys.wakeParked(t);
         if (t.uliUnit.respReady)
             sys.raiseFailure(
                 fault::Verdict::UliProtocol,

@@ -157,6 +157,64 @@ TEST(Farm, StaleClaimIsStolenExactlyOnce)
     EXPECT_NE(log.find("is dead on this host"), std::string::npos);
 }
 
+// Many racing thieves, many stale claims: every steal has exactly one
+// winner and one worker-lost report, including steals of a claim that
+// was itself stolen before (generation chains). A late thief that
+// judged a generation stale must never displace the winner's fresh
+// claim — the double claim the rename-based protocol allowed.
+TEST(Farm, ClaimStressOneWinnerPerSteal)
+{
+    std::string dir = farmDir("bt_farm_stress");
+    common::makeDirs(farmClaimsDir(dir));
+    constexpr int numThreads = 8;
+    constexpr size_t iterations = 150;
+    const std::string dead = common::hostName() + "-2147483632 0 job=";
+
+    std::vector<FarmJob> jobs;
+    for (size_t i = 0; i < iterations; ++i) {
+        jobs.push_back({i, nqSpec(1), nqSpec(1).key()});
+        std::string base =
+            farmClaimsDir(dir) + "/job-" + std::to_string(i) + ".claim";
+        // Every third job's dead owner had itself stolen the claim.
+        ASSERT_TRUE(common::createExclusive(
+            base, dead + std::to_string(i) + "\n"));
+        if (i % 3 == 0) {
+            ASSERT_TRUE(common::createExclusive(
+                base + ".1", dead + std::to_string(i) + "\n"));
+        }
+    }
+
+    std::vector<std::vector<int>> won(
+        iterations, std::vector<int>(numThreads, 0));
+    std::vector<std::thread> pool;
+    for (int t = 0; t < numThreads; ++t)
+        pool.emplace_back([&, t] {
+            // Each thread walks the jobs from its own origin so the
+            // races land at different points of the protocol.
+            for (size_t k = 0; k < iterations; ++k) {
+                size_t i = (k + static_cast<size_t>(t) * 7) % iterations;
+                won[i][t] = farmClaimJob(dir, jobs[i],
+                                         "thief-" + std::to_string(t),
+                                         10000);
+            }
+        });
+    for (auto &th : pool)
+        th.join();
+
+    for (size_t i = 0; i < iterations; ++i) {
+        int winners = 0;
+        for (int w : won[i])
+            winners += w;
+        EXPECT_EQ(winners, 1) << "job " << i;
+    }
+    std::string log = slurp(farmFailuresPath(dir));
+    size_t reports = 0;
+    for (size_t at = log.find("worker-lost"); at != std::string::npos;
+         at = log.find("worker-lost", at + 1))
+        ++reports;
+    EXPECT_EQ(reports, iterations);
+}
+
 TEST(Farm, ManifestRoundTrips)
 {
     std::string dir = farmDir("bt_farm_manifest");

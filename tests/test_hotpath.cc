@@ -18,7 +18,8 @@
  *     more events for the current cycle, and overflow events that
  *     drift into the wheel window must still order by global sequence;
  *     the calendar ready queue must pop the lexicographic (time, id)
- *     minimum including overflow migration.
+ *     minimum including overflow migration, and keep it across the
+ *     decreaseKey that re-keys a woken parked core.
  *  3. Host-parallel identity — a sweep's results are independent of
  *     --jobs.
  */
@@ -252,6 +253,55 @@ TEST(ReadyQueueOrder, LexicographicPopWithOverflowMigration)
     const std::vector<std::pair<Cycle, CoreId>> want = {
         {7, 5}, {99, 2}, {100, 1}, {100, 3}, {100000, 0}};
     EXPECT_EQ(popped, want);
+}
+
+// A woken parked ULI waiter is re-keyed with decreaseKey: moving the
+// cached minimum, a non-minimum entry, or an overflow entry keeps the
+// lexicographic (time, id) pop order, ties still broken by id.
+TEST(ReadyQueueOrder, DecreaseKeyKeepsLexicographicOrder)
+{
+    sim::ReadyQueue rq;
+    rq.init(130); // three mask words per bucket
+    rq.insert(4, 50);
+    rq.insert(129, 60);
+    rq.insert(7, 60);
+    rq.insert(64, 1500); // parked deadline, inside the wheel window
+    rq.insert(2, 900);
+    rq.insert(3, 100000); // beyond the wheel: overflow list
+    EXPECT_EQ(rq.popMin(), (std::pair<Cycle, CoreId>{50, 4}));
+
+    // Wake the parked core to 55, below the minimum (60, 7).
+    EXPECT_EQ(rq.keyOf(64), 1500u);
+    rq.decreaseKey(64, 55);
+    EXPECT_EQ(rq.minTime(), 55u);
+    EXPECT_TRUE(rq.hasEarlierThan(56, 0));
+    EXPECT_FALSE(rq.hasEarlierThan(55, 64));
+
+    // Re-key the new minimum itself, a same-time tie ordered by id,
+    // and an overflow entry into the wheel window.
+    rq.decreaseKey(64, 52);
+    rq.decreaseKey(2, 60);
+    rq.decreaseKey(3, 58);
+    EXPECT_EQ(rq.size(), 5u);
+
+    std::vector<std::pair<Cycle, CoreId>> popped;
+    while (!rq.empty())
+        popped.push_back(rq.popMin());
+    const std::vector<std::pair<Cycle, CoreId>> want = {
+        {52, 64}, {58, 3}, {60, 2}, {60, 7}, {60, 129}};
+    EXPECT_EQ(popped, want);
+    EXPECT_EQ(rq.minTime(), ~Cycle{0});
+}
+
+// A wake never moves a core below the last pop: decreaseKey refuses it.
+TEST(ReadyQueueOrder, DecreaseKeyBelowLastPopPanics)
+{
+    sim::ReadyQueue rq;
+    rq.init(4);
+    rq.insert(0, 10);
+    rq.insert(1, 500);
+    EXPECT_EQ(rq.popMin(), (std::pair<Cycle, CoreId>{10, 0}));
+    EXPECT_DEATH(rq.decreaseKey(1, 9), "decreaseKey");
 }
 
 // ---------------------------------------------------------------------
